@@ -2,7 +2,7 @@
 
 Usage, from the root of the repository::
 
-    python3 perfbench/run.py --workload kernel-100k --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload kernel-100k --seed 1 --seconds 40 --trace 0
 
 Each unit builds the workload's scenario spec from ``--seed`` and runs it
 through ``run_scenario`` to a row in a throwaway results store (see

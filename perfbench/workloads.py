@@ -5,6 +5,11 @@ seed given on the command line is the scenario's only replication seed, so
 the same seed always yields the same inputs and the same stored row.  Each
 workload makes one layer dominant and leaves the others bypassed or minor;
 ``why`` says which, and is mirrored in ``BENCHMARK.json``.
+
+``BENCHMARK.json`` lists every workload but ``kernel-100k``, the batched
+control of ``kernel-100k-probed``: a 1e5-node unit takes 8-10 s, and only
+three workloads leave room for runs long enough to be steady on a shared
+2-core host.  It still runs by name.
 """
 
 from __future__ import annotations
@@ -69,8 +74,9 @@ WORKLOADS: Dict[str, Workload] = {
         Workload(
             name="kernel-100k-probed",
             why=(
-                "isolates per-round kernel write-back and activity: kernel-100k plus the "
-                "activity probe, so run(1) per round makes finalize dominate"
+                "isolates Gnp generation, array-kernel rounds and per-round write-back: smis, "
+                "n=1e5, markov churn, activity probe so run(1) per round; checker and Python "
+                "round loop idle"
             ),
             spec={
                 **_KERNEL_BASE,
