@@ -46,9 +46,11 @@ class Unit:
     mode: str
     rows: List[Dict[str, Any]]
     e2e_s: float
-    #: spec to the end of round 1: generation, construction, engine build, round 1
+    #: spec to the end of round 1 of the first replication: generation,
+    #: construction, engine build, round 1
     setup_s: float
-    #: rounds 2..R and the wall time between the end of round 1 and of round R
+    #: rounds 2..R of every replication, and the wall time from the end of
+    #: round 1 to the end of round R, summed over replications
     steady_rounds: int
     steady_s: float
     #: per-layer metrics (``spans`` mode only)
@@ -105,15 +107,21 @@ def run_unit(spec: ScenarioSpec, mode: str, workdir: Path, host: Mapping[str, An
             else:
                 entry = spec_to_store(spec, store_root, host)
             end = time.perf_counter()
-    if len(stamps) < 2:
-        raise RuntimeError(f"{spec.label}: {len(stamps)} rounds recorded, need at least 2")
+    # Replications run one after another, each with the same number of rounds.
+    replications = len(spec.seeds)
+    rounds = len(stamps) // replications
+    if rounds < 2 or rounds * replications != len(stamps):
+        raise RuntimeError(
+            f"{spec.label}: {len(stamps)} rounds recorded over {replications} replications"
+        )
+    firsts, lasts = stamps[::rounds], stamps[rounds - 1 :: rounds]
     return Unit(
         mode=mode,
         rows=[dict(row) for row in ResultsStore.load(entry.path).rows],
         e2e_s=end - start,
         setup_s=stamps[0] - start,
-        steady_rounds=len(stamps) - 1,
-        steady_s=stamps[-1] - stamps[0],
+        steady_rounds=len(stamps) - replications,
+        steady_s=sum(last - first for first, last in zip(firsts, lasts)),
         layers=layer_metrics(tracer.summary()) if mode == "spans" else None,
     )
 

@@ -19,7 +19,7 @@ def test_modes_store_identical_rows(name, tmp_path):
     rows = {mode: canonical_json(unit.rows) for mode, unit in units.items()}
     assert len(set(rows.values())) == 1
     for unit in units.values():
-        assert unit.steady_rounds == 5
+        assert unit.steady_rounds == 5 * len(spec.seeds)
         assert 0 < unit.setup_s < unit.e2e_s
     layers = units["spans"].layers
     assert set(layers) == set(LAYER_METRICS)
