@@ -16,11 +16,9 @@ This benchmark times four executors over the same unit batches:
   payload and one spec re-parse per unit;
 * ``process`` — the new chunked process backend (spec sent once per chunk,
   parsed once per worker via the spec cache);
-* ``thread`` / ``local-cluster`` / ``remote`` — the other registered
-  backends, for coverage (the GIL caps ``thread`` on CPU-bound units;
-  ``local-cluster`` pays a JSON round-trip for its distribution-ready
-  contract; ``remote`` adds the loopback-transport dispatcher on top —
-  heartbeats, deadlines and adaptive sizing included in its number).
+* ``remote`` — the other registered backend, for coverage: loopback
+  workers speaking the JSON wire form, with the dispatcher's heartbeats,
+  deadlines and adaptive sizing included in its number.
 
 Workloads:
 
@@ -58,7 +56,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec import build_chunks, make_backend, units_for_spec
-from repro.exec.backends import LocalClusterBackend
 from repro.exec.units import WorkUnit, auto_chunk_size
 from repro.scenarios import ScenarioSpec, component
 from repro.scenarios.executor import run_scenario_seed
@@ -143,8 +140,6 @@ def _run_backend(
     chunks = build_chunks(units, chunk_size or auto_chunk_size(len(units), WORKERS))
     backend = make_backend(name, WORKERS)
     with backend:
-        if isinstance(backend, LocalClusterBackend):
-            backend.wait_ready()
         warm = build_chunks(units[:WORKERS], 1)  # exercise import + spec cache
         for _ in backend.submit_batch(warm):
             pass
@@ -173,10 +168,10 @@ def run_workload(
     timings["pr1_unchunked"] = len(units) / pr1_elapsed
     identical["pr1_unchunked"] = canonical_json(pr1_rows) == reference
 
-    for backend in ("process", "thread", "local-cluster", "remote"):
+    for backend in ("process", "remote"):
         rows, elapsed = _run_backend(backend, units, chunk_size)
-        timings[backend.replace("-", "_")] = len(units) / elapsed
-        identical[backend.replace("-", "_")] = canonical_json(rows) == reference
+        timings[backend] = len(units) / elapsed
+        identical[backend] = canonical_json(rows) == reference
 
     row: Dict[str, object] = {
         "workload": label,
@@ -192,8 +187,6 @@ def run_workload(
         f"serial={timings['serial']:7.1f} r/s  "
         f"pr1-unchunked={timings['pr1_unchunked']:7.1f} r/s  "
         f"process-chunked={timings['process']:7.1f} r/s  "
-        f"thread={timings['thread']:7.1f} r/s  "
-        f"local-cluster={timings['local_cluster']:7.1f} r/s  "
         f"remote={timings['remote']:7.1f} r/s  "
         f"speedup={row['speedup_chunked_vs_unchunked']}x"
     )

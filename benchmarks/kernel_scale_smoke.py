@@ -5,7 +5,8 @@ Three assertions, sized for CI hardware:
 1. **Throughput floor.**  A reduced version of the committed
    ``smis-dense-100k`` benchmark row (same n, fewer rounds) must clear a
    minimum rounds/sec.  The committed baseline on the benchmark host is
-   ~9.5 r/s (``benchmarks/results/BENCH_kernel.json``); the gate here is
+   the ``smis-dense-100k`` row's ``kernel_rps`` in
+   ``benchmarks/results/BENCH_kernel.json``; the gate here is
    2.0 r/s — loose enough for shared CI runners, tight enough that a
    return to the pre-kernel-tightening ~1.6 r/s fails the build.
 2. **Memory ceiling.**  The run executes under ``trace_retention="stats"``

@@ -32,8 +32,8 @@ missing units of every interrupted batch it can match back to a committed
 config (resume semantics make the reassembled entries byte-identical to an
 uninterrupted run).
 
-Execution is controlled per run by ``--backend`` (serial / process / thread /
-local-cluster / remote), ``--chunk-size``, ``--workers``, ``--progress`` and
+Execution is controlled per run by ``--backend`` (serial / process /
+remote), ``--chunk-size``, ``--workers``, ``--progress`` and
 ``--resume`` — plus ``--transport``/``--hosts`` for the distributed
 ``remote`` backend — or per config by an ``"execution"`` block (CLI flags
 win); see :mod:`repro.exec`.  Store-backed runs keep a sweep journal under
@@ -480,7 +480,7 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
                     "status": status,
                     "seconds": round(elapsed, 2),
                     # Phase splits (see repro.exec.stats): in-process unit phases
-                    # are complete under serial/thread execution; under pooled
+                    # are complete under serial execution; under pooled
                     # backends the worker-side time shows up in dispatch_s.
                     "setup_s": round(stats.seconds(UNIT_SETUP), 2),
                     "rounds_s": round(stats.seconds(UNIT_ROUNDS), 2),
@@ -494,7 +494,7 @@ def _run_experiments(args: argparse.Namespace, *, scale: str, timings: bool) -> 
         _print(format_table(summary, title=f"{len(summary)} experiments ({scale} scale)").rstrip())
         _print(
             "[timing splits: setup/rounds/metrics are in-process unit phases "
-            "(complete with --serial or --backend thread); dispatch is backend "
+            "(complete with --serial); dispatch is backend "
             "wall time incl. pooled workers; journal/store are checkpoint + "
             "results-store writes]"
         )

@@ -44,6 +44,9 @@ from repro.types import NodeId, canonical_edge
 from repro.core.windows import default_window, window_for
 from repro.dynamics.adversary import FULLY_OBLIVIOUS, Adversary, AdversaryView, delta_emission
 from repro.dynamics.topology import Topology
+from repro.exec.backends import BACKENDS
+from repro.exec.policy import ExecutionPolicy
+from repro.obs.metrics import collect_metrics
 from repro.runtime.algorithm import DistributedAlgorithm
 from repro.runtime.messages import Message
 from repro.runtime.simulator import Simulator, delivery_mode
@@ -315,16 +318,20 @@ def _contract_backend_equivalence(ctx: VerifyContext) -> Iterator[Verdict]:
         metrics=(component("stability"),),
     )
     reference = run_scenario(spec, execution="serial").rows
-    backends = ["thread", "process"] if ctx.smoke else ["thread", "process", "local-cluster"]
-    for backend in backends:
-        rows = run_scenario(spec, execution=backend).rows
-        if rows != reference:
+    for backend in sorted(set(BACKENDS) - {"serial"}):
+        # Two explicit workers: with a defaulted count a one-CPU host runs
+        # the batch serially, and serial would be compared with itself.
+        policy = ExecutionPolicy(backend=backend, max_workers=2)
+        with collect_metrics() as registry:
+            rows = run_scenario(spec, execution=policy).rows
+        if registry.counter("exec.serial_fallbacks"):
+            # The runner recomputed the batch serially, so equal rows would
+            # prove nothing about the backend itself.
+            yield _failed(name, backend, f"{backend!r} fell back to the serial loop")
+        elif rows != reference:
             yield _failed(name, backend, f"{backend!r} rows differ from the serial loop")
         else:
             yield _passed(name, backend, f"{len(rows)} rows byte-identical to serial")
-    # No silent caps: the remote backend needs transport endpoints this
-    # harness does not own; the fabric-smoke CI job covers it end to end.
-    yield _skipped(name, "remote", "needs transport endpoints — covered by the fabric-smoke job")
 
 
 # ---------------------------------------------------------------------------

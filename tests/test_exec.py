@@ -32,7 +32,7 @@ from repro.exec import (
 from repro.exec.policy import policy_from_mapping
 from repro.exec.progress import ProgressReporter
 from repro.exec.runner import INTERRUPT_ENV
-from repro.exec.units import Chunk, execute_chunk_wire
+from repro.exec.units import Chunk
 from repro.scenarios import METRICS, ScenarioSpec, component, run_scenario, sweep
 from repro.scenarios.registry import ADVERSARIES
 from repro.scenarios.store import canonical_json
@@ -98,14 +98,6 @@ class TestUnitsAndChunks:
         again = Chunk.from_wire(chunk.to_wire())
         assert again == chunk
 
-    def test_execute_chunk_wire_contract(self):
-        units = units_for_spec(tiny_spec(seeds=(0,)))
-        (chunk,) = build_chunks(units, 1)
-        response = json.loads(execute_chunk_wire(chunk.to_wire()))
-        assert response["index"] == chunk.index
-        assert len(response["rows"]) == 1
-        assert "valid_fraction" in response["rows"][0]
-
 
 # ---------------------------------------------------------------------------
 # backend equivalence (the registered-adversary matrix)
@@ -144,7 +136,7 @@ class TestBackendEquivalence:
         rows = run_units(units, ExecutionPolicy(backend="serial"))
         return units, canonical_json(rows)
 
-    @pytest.mark.parametrize("backend", ["process", "thread", "local-cluster"])
+    @pytest.mark.parametrize("backend", ["process", "remote"])
     def test_backend_rows_byte_identical_to_serial(self, serial_reference, backend):
         units, reference = serial_reference
         policy = ExecutionPolicy(backend=backend, max_workers=2, chunk_size=3)
@@ -160,7 +152,7 @@ class TestBackendEquivalence:
     def test_run_scenario_execution_parameter(self):
         spec = tiny_spec()
         a = run_scenario(spec)
-        b = run_scenario(spec, execution="thread")
+        b = run_scenario(spec, execution="process")
         c = run_scenario(spec, execution=ExecutionPolicy(backend="process", max_workers=2))
         d = run_scenario(spec, execution={"backend": "serial", "chunk_size": 2})
         assert a.rows == b.rows == c.rows == d.rows
@@ -169,7 +161,7 @@ class TestBackendEquivalence:
         spec = tiny_spec(seeds=(0, 1))
         over = {"adversary.params.flip_prob": [0.0, 0.05]}
         a = sweep(spec, over=over)
-        b = sweep(spec, over=over, execution=ExecutionPolicy(backend="thread", max_workers=2))
+        b = sweep(spec, over=over, execution=ExecutionPolicy(backend="process", max_workers=2))
         assert [p.rows for p in a] == [p.rows for p in b]
         assert [p.overrides for p in a] == [p.overrides for p in b]
 
@@ -206,9 +198,10 @@ class TestFallback:
         finally:
             BACKENDS.unregister("explode-transport")
 
-    def test_ad_hoc_components_fall_back_from_local_cluster(self):
-        """Components only the parent knows about cannot cross spawn — the
-        runner silently recomputes serially and the rows still come out."""
+    def test_ad_hoc_components_fall_back_from_remote(self):
+        """Components only the parent knows about cannot reach fresh worker
+        processes — the runner silently recomputes serially and the rows
+        still come out."""
 
         @METRICS.register("exec-test-parent-only", overwrite=True)
         def _metric(ctx):
@@ -218,7 +211,7 @@ class TestFallback:
             spec = tiny_spec(metrics=(component("exec-test-parent-only"),), seeds=(0, 1))
             rows = run_units(
                 units_for_spec(spec),
-                ExecutionPolicy(backend="local-cluster", max_workers=2),
+                ExecutionPolicy(backend="remote", max_workers=2),
             )
             assert rows == [{"parent_only": 1.0}, {"parent_only": 1.0}]
         finally:
@@ -375,7 +368,7 @@ class TestPolicies:
         assert resolve_policy(parallel=True, max_workers=3).max_workers == 3
 
     def test_ambient_policy_reaches_nested_calls(self):
-        ambient = ExecutionPolicy(backend="thread", chunk_size=5)
+        ambient = ExecutionPolicy(backend="process", chunk_size=5)
         with use_policy(ambient):
             assert current_policy() is ambient
             assert resolve_policy(parallel=True) is ambient
@@ -384,7 +377,7 @@ class TestPolicies:
         assert current_policy() is None
 
     def test_explicit_execution_beats_ambient(self):
-        with use_policy(ExecutionPolicy(backend="thread")):
+        with use_policy(ExecutionPolicy(backend="process")):
             assert resolve_policy(parallel=True, execution="serial").backend == "serial"
 
     def test_policy_validation(self):
@@ -420,8 +413,8 @@ class TestPolicies:
         assert policy.backend == "process"
         assert policy.chunk_size == 4
         # An explicit backend choice in the block still wins over --parallel.
-        policy = _build_policy(args, {"backend": "thread"}, parallel=True)
-        assert policy.backend == "thread"
+        policy = _build_policy(args, {"backend": "remote"}, parallel=True)
+        assert policy.backend == "remote"
 
 
 # ---------------------------------------------------------------------------

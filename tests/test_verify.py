@@ -3,8 +3,8 @@
 Three layers under test:
 
 * the policy object itself — parsing, the ``"verification"`` config block,
-  the ambient context manager, and the deprecated ``REPRO_VERIFY_*``
-  environment aliases (which must stay byte-equivalent to ``--verify``);
+  the ambient context manager, and the ``REPRO_VERIFY`` environment
+  variable;
 * the executor integration — the in-run gate fires on the verified path and
   degrades *loudly* when the requested path is unavailable;
 * the contract suite — a mutation rehearsal proving a deliberately broken
@@ -26,8 +26,6 @@ from repro.scenarios.registry import ADVERSARIES, available
 from repro.scenarios.spec import ScenarioSpec, component
 from repro.verify.policy import (
     VERIFY_ENV,
-    VERIFY_INCREMENTAL_ENV,
-    VERIFY_KERNEL_ENV,
     VerificationPolicy,
     active_verification,
     current_verification,
@@ -43,8 +41,7 @@ CONFIGS_DIR = REPO_ROOT / "configs"
 @pytest.fixture(autouse=True)
 def _clean_verification_env(monkeypatch):
     """Isolate every test from ambient policies and real environment flags."""
-    for env in (VERIFY_ENV, VERIFY_INCREMENTAL_ENV, VERIFY_KERNEL_ENV):
-        monkeypatch.delenv(env, raising=False)
+    monkeypatch.delenv(VERIFY_ENV, raising=False)
     # The degradation warning deduplicates process-wide; reset per test.
     executor._DEGRADED_WARNED.clear()
     yield
@@ -151,35 +148,6 @@ class TestActiveVerification:
     def test_canonical_env_parsed(self, monkeypatch):
         monkeypatch.setenv(VERIFY_ENV, "incremental,kernel")
         assert active_verification() == VerificationPolicy(incremental=True, kernel=True)
-
-    def test_deprecated_aliases_warn_and_map(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_KERNEL_ENV, "1")
-        with pytest.warns(DeprecationWarning, match="REPRO_VERIFY_KERNEL"):
-            assert active_verification() == VerificationPolicy(kernel=True)
-
-    def test_explicit_none_beats_aliases(self, monkeypatch):
-        monkeypatch.setenv(VERIFY_KERNEL_ENV, "1")
-        monkeypatch.setenv(VERIFY_ENV, "none")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert not active_verification().enabled
-
-    def test_alias_byte_equivalent_to_policy(self, monkeypatch):
-        """REPRO_VERIFY_KERNEL=1 and --verify kernel run the identical gate."""
-        spec = ScenarioSpec(
-            n=16,
-            algorithm="scolor",
-            adversary=component("flip-churn", flip_prob=0.1),
-            rounds=6,
-            seeds=(0,),
-        )
-        monkeypatch.setenv(VERIFY_KERNEL_ENV, "1")
-        with pytest.warns(DeprecationWarning):
-            via_alias = executor.run_scenario_seed(spec, 0)
-        monkeypatch.delenv(VERIFY_KERNEL_ENV)
-        with use_verification(VerificationPolicy(kernel=True)):
-            via_policy = executor.run_scenario_seed(spec, 0)
-        assert via_alias == via_policy
 
 
 class TestLoudDegradation:
@@ -354,3 +322,37 @@ class TestMutationRehearsal:
         code = main(["verify", "--suite", "smoke", "--contracts", "delta-vs-snapshot", "--no-store"])
         assert code == 0
         assert "0 failed" in capsys.readouterr().out
+
+    @pytest.fixture()
+    def backend_dying_mid_batch(self):
+        from repro.exec import BACKENDS, Backend, BackendError
+        from repro.exec.units import execute_chunk
+
+        @BACKENDS.register("dies-mid-batch")
+        class _DyingBackend(Backend):
+            """Test double: serves one chunk, then its transport dies."""
+
+            def __init__(self, max_workers=None):
+                del max_workers
+
+            def submit_batch(self, chunks):
+                first = chunks[0]
+                yield first.index, execute_chunk((first.spec_key, first.spec_dict, first.seeds))
+                raise BackendError("transport died mid-batch")
+
+        yield "dies-mid-batch"
+        BACKENDS.unregister("dies-mid-batch")
+
+    def test_serial_fallback_fails_backend_equivalence(self, backend_dying_mid_batch):
+        """The runner's serial fallback repairs the rows; the contract must
+        still blame the backend instead of passing the serial loop's work."""
+        from repro.verify.harness import run_verify
+
+        verdicts = {
+            v.case: v for v in run_verify(suite="smoke", contracts=["backend-equivalence"])
+        }
+        assert sorted(verdicts) == sorted([backend_dying_mid_batch, "process", "remote"])
+        assert verdicts[backend_dying_mid_batch].status == "fail"
+        assert "fell back" in verdicts[backend_dying_mid_batch].detail
+        assert verdicts["process"].status == "pass"
+        assert verdicts["remote"].status == "pass"
