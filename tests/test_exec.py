@@ -32,7 +32,7 @@ from repro.exec import (
 from repro.exec.policy import policy_from_mapping
 from repro.exec.progress import ProgressReporter
 from repro.exec.runner import INTERRUPT_ENV
-from repro.exec.units import Chunk
+from repro.exec.units import Chunk, execute_chunk
 from repro.scenarios import METRICS, ScenarioSpec, component, run_scenario, sweep
 from repro.scenarios.registry import ADVERSARIES
 from repro.scenarios.store import canonical_json
@@ -97,6 +97,23 @@ class TestUnitsAndChunks:
         (chunk,) = build_chunks(units, 8)
         again = Chunk.from_wire(chunk.to_wire())
         assert again == chunk
+
+    def test_execute_chunk_wire_contract(self):
+        """A wire-form request to the remote worker loop comes back as one
+        response carrying the chunk's index and its serial rows."""
+        from repro.exec.remote import worker
+
+        units = units_for_spec(tiny_spec(seeds=(0,)))
+        (chunk,) = build_chunks(units, 1)
+        out = io.StringIO()
+        assert worker.main(io.StringIO(chunk.to_wire() + "\n"), out) == 0
+        ready, response = (json.loads(line) for line in out.getvalue().splitlines())
+        assert ready["ready"] is True
+        assert response["index"] == chunk.index
+        assert len(response["rows"]) == 1
+        assert "valid_fraction" in response["rows"][0]
+        serial = execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
+        assert canonical_json(response["rows"]) == canonical_json(serial)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +415,20 @@ class TestPolicies:
     def test_unknown_backend_fails_with_suggestions(self):
         with pytest.raises(Exception, match="did you mean"):
             make_backend("seriall", 1)
+
+    def test_three_backends_are_registered(self):
+        """``serial`` is the byte-identity reference; ``process`` and
+        ``remote`` are the two pooled paths."""
+        assert sorted(BACKENDS) == ["process", "remote", "serial"]
+
+    def test_retired_thread_backend_is_rejected(self):
+        """A config or call that still names ``thread`` fails loudly and
+        lists the backends that remain."""
+        available = r"available: \['process', 'remote', 'serial'\]"
+        with pytest.raises(ConfigurationError, match=available):
+            policy_from_mapping({"backend": "thread"})
+        with pytest.raises(ConfigurationError, match=available):
+            make_backend("thread", 2)
 
     def test_parallel_survives_backendless_execution_block(self):
         """A config block that only tunes chunking must not eat --parallel."""

@@ -351,7 +351,7 @@ class TestPipelineEvents:
 
 class TestRemoteTimings:
     def test_redispatch_after_worker_death_does_not_double_count(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, ready_fleet
     ):
         """Worker 0 dies mid-chunk; its chunk is re-dispatched.  The dead
         attempt must contribute neither rows, nor a chunk_result event, nor
@@ -363,6 +363,7 @@ class TestRemoteTimings:
         monkeypatch.setenv(WORKER_INTERRUPT_ENV, "2")
         backend = RemoteBackend(2, adaptive=False)
         with trace_to(path), collect_stats() as stats, backend:
+            ready_fleet(backend)
             got = dict(backend.submit_batch(build_chunks(units, 3)))
         monkeypatch.delenv(WORKER_INTERRUPT_ENV)
 

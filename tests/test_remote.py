@@ -146,25 +146,27 @@ class TestRemoteByteIdentity:
 
 
 class TestFaultTolerance:
-    def test_killed_worker_chunks_are_redispatched(self, reference, monkeypatch):
+    def test_killed_worker_chunks_are_redispatched(self, reference, monkeypatch, ready_fleet):
         """Worker 0 hard-exits mid-chunk; the survivor absorbs its work."""
         units, expected = reference
         monkeypatch.setenv(WORKER_INTERRUPT_ENV, "2")
         backend = RemoteBackend(2)
         with backend:
+            ready_fleet(backend)
             got = dict(backend.submit_batch(build_chunks(units, 3)))
         assert backend.stats["workers_lost"] >= 1
         assert backend.stats["redispatched"] >= 1
         rows = [row for index in sorted(got) for row in got[index]]
         assert canonical_json(rows) == expected
 
-    def test_hung_worker_times_out_and_is_replaced(self, reference, monkeypatch):
+    def test_hung_worker_times_out_and_is_replaced(self, reference, monkeypatch, ready_fleet):
         """Worker 0 wedges (alive but silent); the deadline detector kills it
         and re-dispatches its in-flight chunk."""
         units, expected = reference
         monkeypatch.setenv(WORKER_HANG_ENV, "1")
         backend = RemoteBackend(2, task_timeout=5.0, heartbeat_interval=0.5)
         with backend:
+            ready_fleet(backend)
             got = dict(backend.submit_batch(build_chunks(units, 3)))
         assert backend.stats["workers_lost"] >= 1
         rows = [row for index in sorted(got) for row in got[index]]

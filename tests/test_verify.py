@@ -125,7 +125,7 @@ class TestVerificationConfigBlock:
 
 
 # ---------------------------------------------------------------------------
-# ambient policy and the deprecated environment aliases
+# ambient policy
 # ---------------------------------------------------------------------------
 
 
@@ -237,6 +237,17 @@ class TestContractSuite:
         with pytest.raises(Exception, match="did you mean"):
             run_verify(suite="smoke", contracts=["delta-vs-snapshots"])
 
+    @pytest.mark.parametrize("suite", ["smoke", "full"])
+    def test_backend_equivalence_checks_every_pooled_backend(self, suite):
+        """Every registered backend but ``serial`` gets a real check in both
+        suites: no skip, and no case for the reference itself."""
+        from repro.exec import BACKENDS
+        from repro.verify.harness import run_verify
+
+        verdicts = run_verify(suite=suite, contracts=["backend-equivalence"])
+        assert sorted(v.case for v in verdicts) == sorted(set(BACKENDS) - {"serial"})
+        assert all(v.status == "pass" for v in verdicts), verdicts
+
     def test_unknown_suite_rejected(self):
         from repro.verify.harness import run_verify
 
@@ -342,6 +353,39 @@ class TestMutationRehearsal:
 
         yield "dies-mid-batch"
         BACKENDS.unregister("dies-mid-batch")
+
+    @pytest.fixture()
+    def backend_with_wrong_rows(self):
+        from repro.exec import BACKENDS, Backend
+        from repro.exec.units import execute_chunk
+
+        @BACKENDS.register("wrong-rows")
+        class _WrongRowsBackend(Backend):
+            """Test double: computes every chunk, then corrupts one row."""
+
+            def __init__(self, max_workers=None):
+                del max_workers
+
+            def submit_batch(self, chunks):
+                for chunk in chunks:
+                    rows = execute_chunk((chunk.spec_key, chunk.spec_dict, chunk.seeds))
+                    rows[0] = {**rows[0], "corrupted": True}
+                    yield chunk.index, rows
+
+        yield "wrong-rows"
+        BACKENDS.unregister("wrong-rows")
+
+    def test_wrong_rows_fail_backend_equivalence(self, backend_with_wrong_rows):
+        """A backend that returns rows without falling back is still held to
+        the serial loop's bytes."""
+        from repro.verify.harness import run_verify
+
+        verdicts = {
+            v.case: v for v in run_verify(suite="smoke", contracts=["backend-equivalence"])
+        }
+        assert verdicts[backend_with_wrong_rows].status == "fail"
+        assert "rows differ" in verdicts[backend_with_wrong_rows].detail
+        assert verdicts["process"].status == "pass"
 
     def test_serial_fallback_fails_backend_equivalence(self, backend_dying_mid_batch):
         """The runner's serial fallback repairs the rows; the contract must
