@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, FrozenSet, Optional
+import random
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 import networkx as nx
 import numpy as np
@@ -53,11 +54,45 @@ def empty(n: int) -> Topology:
 
 
 def gnp(n: int, p: float, rng: np.random.Generator) -> Topology:
-    """Erdős–Rényi ``G(n, p)`` graph."""
+    """Erdős–Rényi ``G(n, p)`` graph.
+
+    Reproduces networkx's ``fast_gnp_random_graph(n, p, seed)`` edge for
+    edge — the Batagelj–Brandes geometric-skip algorithm ("Efficient
+    generation of large random networks", Phys. Rev. E 71, 2005) on
+    ``random.Random(seed)``, with ``seed`` drawn from ``rng`` — without
+    building a networkx graph.  ``p <= 0`` and ``p >= 1`` give the empty and
+    complete graphs, as in networkx.
+    """
     _require_n(n)
     check_probability("p", p)
     seed = int(rng.integers(0, 2**31 - 1))
-    return topology_from_networkx(nx.fast_gnp_random_graph(n, p, seed=seed))
+    if p <= 0:
+        return empty(n)
+    if p >= 1:
+        return clique(n)
+    draw = random.Random(seed).random
+    log = math.log
+    lp = log(1.0 - p)
+    lo: List[int] = []
+    hi: List[int] = []
+    # walk the pairs (w, v), w < v, in v-major order, skipping a geometric
+    # number of pairs between consecutive edges
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(log(1.0 - draw()) / lp)
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            lo.append(w)
+            hi.append(v)
+    # Insert in lexicographic order, the order networkx's edge view yields:
+    # the topology's sets then match the networkx-built ones exactly, and
+    # their memory layout keeps sorted edge scans fast.
+    lo_arr = np.asarray(lo, dtype=np.int64)
+    hi_arr = np.asarray(hi, dtype=np.int64)
+    order = np.lexsort((hi_arr, lo_arr))
+    return Topology(range(n), zip(lo_arr[order].tolist(), hi_arr[order].tolist()))
 
 
 def random_regular(n: int, degree: int, rng: np.random.Generator) -> Topology:

@@ -47,6 +47,11 @@ class DeliverContext:
 class AlgorithmKernel:
     """Base class: dense state arrays + the fingerprint/output post-pass."""
 
+    #: The algorithm attributes :meth:`finalize` assigns.  After every run
+    #: the engine drops them from the instance and leaves :meth:`finalize`
+    #: pending, so the first read of any of them writes the state back.
+    writeback_attrs: Tuple[str, ...] = ()
+
     def __init__(self, algorithm) -> None:
         self._algorithm = algorithm
         n = algorithm.n
@@ -94,8 +99,22 @@ class AlgorithmKernel:
         raise NotImplementedError
 
     def finalize(self) -> None:  # pragma: no cover - abstract
-        """Write kernel state back into the algorithm instance."""
+        """Write kernel state back into the algorithm instance.
+
+        Assigns exactly :attr:`writeback_attrs`.  The engines never call it
+        directly: it runs on the first read of one of those attributes after
+        a run (see ``DistributedAlgorithm.__getattr__``), so a run that
+        nobody inspects never pays the O(n) dict rebuild.
+        """
         raise NotImplementedError
+
+    def defer_finalize(self) -> None:
+        """Drop the stale written-back attributes and leave :meth:`finalize` pending."""
+
+        state = self._algorithm.__dict__
+        for name in self.writeback_attrs:
+            state.pop(name, None)
+        state["_kernel_writeback"] = self.finalize
 
     # -- shared helpers ------------------------------------------------------
 

@@ -37,6 +37,16 @@ _T_TENT = 2
 
 
 class ColoringKernel(AlgorithmKernel):
+    #: ``_uncolor_events`` is written back only when tracked (SColor)
+    writeback_attrs = (
+        "_awake",
+        "_color",
+        "_tentative",
+        "_palette",
+        "_uncolored_count",
+        "_uncolor_events",
+    )
+
     def __init__(self, algorithm, *, uncolor_enabled: bool, track_uncolor_events: bool) -> None:
         super().__init__(algorithm)
         n = self.n

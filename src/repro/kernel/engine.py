@@ -354,7 +354,7 @@ class ArrayKernelEngine:
             )
 
     def finalize(self) -> None:
-        self._kernel.finalize()
+        self._kernel.defer_finalize()
 
 
 class GenericKernelEngine:
@@ -443,11 +443,11 @@ class GenericKernelEngine:
             round_index=round_index,
             mode="kernel",
             delta=delta,
-            composed=frozenset(recompose_ids.tolist()),
-            delivered=frozenset(dirty_ids.tolist()),
+            composed=recompose_ids,
+            delivered=dirty_ids,
             changed_outputs=changed_frozen,
         )
         return outputs, metrics, changed_frozen, activity
 
     def finalize(self) -> None:
-        self._kernel.finalize()
+        self._kernel.defer_finalize()

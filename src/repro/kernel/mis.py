@@ -43,6 +43,16 @@ _T_RAND = 2  # DMis ``(RAND, value)``
 
 
 class SMisKernel(AlgorithmKernel):
+    writeback_attrs = (
+        "_awake",
+        "_state",
+        "_desire",
+        "_candidate",
+        "_undecided_n",
+        "_undecide_events",
+        "_node_rng_skips",
+    )
+
     def __init__(self, algorithm, *, undecide_enabled: bool) -> None:
         super().__init__(algorithm)
         n = self.n
@@ -203,6 +213,15 @@ class SMisKernel(AlgorithmKernel):
 
 
 class DMisKernel(AlgorithmKernel):
+    writeback_attrs = (
+        "_awake",
+        "_state",
+        "_drawn",
+        "_live",
+        "_undecided_n",
+        "_node_rng_skips",
+    )
+
     def __init__(self, algorithm, *, restrict_to_intersection: bool) -> None:
         super().__init__(algorithm)
         n = self.n

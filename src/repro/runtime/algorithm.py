@@ -152,6 +152,17 @@ class DistributedAlgorithm(ABC):
         self._node_rng_skips: Dict[NodeId, int] = {}
         self._awake: set[NodeId] = set()
 
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails.  After a run on the kernel
+        # path the engine drops the attributes its kernel writes back and
+        # leaves the write-back pending (``AlgorithmKernel.defer_finalize``);
+        # the first such read runs it, once, and retries the lookup.
+        writeback = self.__dict__.pop("_kernel_writeback", None)
+        if writeback is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        writeback()
+        return getattr(self, name)
+
     # -- lifecycle -----------------------------------------------------------
 
     def setup(self, setup: AlgorithmSetup) -> None:

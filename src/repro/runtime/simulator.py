@@ -155,10 +155,11 @@ class RoundActivity:
     node set.  ``delta`` is the topology change set the adversary emitted
     (``None`` when it returned a fresh snapshot).
 
-    The array kernel engine passes ``composed``/``delivered``/
-    ``changed_outputs`` as int64 id arrays; the frozenset views materialise
-    lazily (and are cached), and :attr:`num_active` reads the array length
-    directly — an activity probe that only counts never builds a python set.
+    The kernel engines pass ``composed``/``delivered`` (and the array engine
+    ``changed_outputs``) as int64 id arrays; the frozenset views materialise
+    lazily (and are cached), and :attr:`num_composed`/:attr:`num_active`
+    read the array length directly — the ``round`` trace event and an
+    activity probe that only count never build a python set.
     """
 
     __slots__ = ("round_index", "mode", "delta", "_composed", "_delivered", "_changed")
@@ -202,6 +203,11 @@ class RoundActivity:
         return self._changed
 
     @property
+    def num_composed(self) -> int:
+        """Number of nodes the engine ran ``compose`` for this round."""
+        return len(self._composed)
+
+    @property
     def num_active(self) -> int:
         """Number of nodes the engine ran ``deliver`` for this round."""
         return len(self._delivered)
@@ -242,9 +248,10 @@ class Simulator:
         has not declared skippable).
     allow_kernel:
         Set to false to exclude the kernel path from ``"auto"``/``"kernel"``
-        resolution (used e.g. when per-round probes will read live
-        algorithm state, which array kernels only write back at the end of
-        a run).
+        resolution.  Array kernels write their state back into the
+        algorithm instance on the first read after a run, so probes between
+        ``run`` calls see live state; code that reads algorithm state
+        *during* a run would see the previous run's state.
     trace_retention:
         ``"full"`` (default) keeps every round's complete output vector in
         the trace; ``"stats"`` keeps only O(#changes) per-round output
@@ -293,7 +300,7 @@ class Simulator:
         # the exact algorithm type, no input vector (kernels initialise wake
         # state vectorised for the ⊥-input case only), and no adaptive state
         # exposure (state_summary would read stale instance state mid-run —
-        # kernels write back only at the end of a run).
+        # kernels write back on the first read *after* a run, never during).
         kernel_ok = (
             allow_kernel
             and pure
@@ -424,8 +431,8 @@ class Simulator:
                 if self._stop_when is not None and self._stop_when(self._trace):
                     break
         if engine is not None:
-            # Write the kernel state back so post-run introspection of the
-            # algorithm instance (outputs(), state_of(), …) works as usual.
+            # Leave the kernel write-back pending: the first post-run read of
+            # the algorithm instance (outputs(), state_of(), …) runs it.
             engine.finalize()
         return self._trace
 
@@ -512,10 +519,10 @@ class Simulator:
                 mode=activity.mode,
                 awake=metrics.num_awake,
                 edges=metrics.num_edges,
-                composed=len(activity.composed),
-                frontier=len(activity.delivered),
+                composed=activity.num_composed,
+                frontier=activity.num_active,
                 changed=len(changed),
-                quiescent=len(activity.delivered) == 0,
+                quiescent=activity.num_active == 0,
             )
 
     # -- the legacy O(n + m) path ------------------------------------------------

@@ -1,9 +1,13 @@
 """Unit tests for the topology generators."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.dynamics import generators
+from repro.dynamics.topology import topology_from_networkx
+from repro.scenarios.components import TOPOLOGIES
 
 
 class TestDeterministicFamilies:
@@ -47,6 +51,40 @@ class TestRandomFamilies:
         a = generators.gnp(30, 0.2, rng_factory.stream("g"))
         b = generators.gnp(30, 0.2, rng_factory.stream("g"))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n, family, param",
+        [
+            (1, "gnp", 0.5),
+            (2, "gnp", 0.5),
+            (1, "gnp", 0.0),
+            (2, "gnp", 0.0),
+            (1, "gnp", 1.0),
+            (2, "gnp", 1.0),
+            (30, "gnp", 0.0),
+            (30, "gnp", 1.0),
+            (5, "gnp_degree", 12.0),  # n <= degree: p clamps to 1
+            (13, "gnp_degree", 12.0),
+            (2000, "gnp_degree", 12.0),
+            (10_000, "gnp_degree", 12.0),
+        ],
+    )
+    def test_gnp_matches_networkx(self, n, family, param):
+        """Same graph, same edge order and same ``rng`` position as networkx."""
+        ours_rng = np.random.default_rng(2024 + n)
+        ref_rng = np.random.default_rng(2024 + n)
+        if family == "gnp":
+            ours = TOPOLOGIES.get("gnp")(n, ours_rng, p=param)
+            p = param
+        else:
+            ours = TOPOLOGIES.get("gnp_degree")(n, ours_rng, degree=param)
+            p = min(1.0, param / max(n - 1, 1))
+        seed = int(ref_rng.integers(0, 2**31 - 1))
+        ref = topology_from_networkx(nx.fast_gnp_random_graph(n, p, seed=seed))
+        assert ours == ref
+        assert list(ours.edges) == list(ref.edges)
+        assert all(list(ours.neighbors(v)) == list(ref.neighbors(v)) for v in ref.nodes)
+        assert ours_rng.random() == ref_rng.random()
 
     def test_gnp_rejects_bad_probability(self, rng_factory):
         with pytest.raises(ConfigurationError):

@@ -30,7 +30,9 @@ from repro.dynamics.churn import MarkovEdgeChurn, StaticChurn, quiescence_skip
 from repro.dynamics.topology import TopologyDelta
 from repro.kernel import CSRAdjacency, EdgeUniverse
 from repro.kernel.engine import ArrayKernelEngine, GenericKernelEngine
-from repro.kernel.mis import SMisKernel
+from repro.kernel.coloring import ColoringKernel
+from repro.kernel.mis import DMisKernel, SMisKernel
+from repro.obs.trace import read_trace, trace_to
 from repro.runtime.algorithm import DistributedAlgorithm
 from repro.runtime.simulator import Simulator, delivery_mode
 from repro.scenarios import ScenarioSpec, component
@@ -422,3 +424,150 @@ class TestKernelActivity:
         assert sim.trace.metrics(3).outputs_changed == len(activity.changed_outputs)
         sim.run(1)
         assert sim.last_round_activity.round_index == 4
+
+    def test_generic_round_event_counts_the_id_arrays(self, tmp_path):
+        """The ``round`` event reads array lengths; the frozensets stay lazy."""
+        sim = _stepwise_sim("scolor", "generic", "kernel")
+        path = tmp_path / "rounds.ndjson"
+        with trace_to(path):
+            sim.run(2)
+        activity = sim.last_round_activity
+        assert isinstance(activity._composed, np.ndarray)
+        assert isinstance(activity._delivered, np.ndarray)
+        event = [e for e in read_trace(path) if e["event"] == "round"][-1]
+        assert event["round"] == 2
+        assert event["composed"] == len(activity.composed)
+        assert event["frontier"] == len(activity.delivered)
+        assert event["quiescent"] == (not activity.delivered)
+
+
+# ---------------------------------------------------------------------------
+# deferred write-back: the algorithm instance fills in on first read
+# ---------------------------------------------------------------------------
+
+#: one adversary per engine: markov-churn ships a KernelPlan (array engine),
+#: mobility does not (generic engine under ``delivery="kernel"``)
+_ENGINE_ADVERSARIES = {
+    "array": component("markov-churn", p_off=0.05, p_on=0.05),
+    "generic": component("mobility", radius=0.3, speed=0.05),
+}
+
+_KERNEL_CLASSES = {
+    "smis": SMisKernel,
+    "dmis": DMisKernel,
+    "scolor": ColoringKernel,
+    "basic-coloring": ColoringKernel,
+}
+
+#: per algorithm, the written-back state dicts every path agrees on
+_STATE_DICTS = {
+    "smis": ("_state", "_desire", "_candidate"),
+    "dmis": ("_state", "_drawn", "_live"),
+    "scolor": ("_color",),
+    "basic-coloring": ("_color",),
+}
+
+
+def _stepwise_sim(algorithm: str, engine: str, mode: str) -> Simulator:
+    spec = ScenarioSpec(
+        n=16,
+        algorithm=algorithm,
+        adversary=_ENGINE_ADVERSARIES[engine],
+        topology="gnp",
+        rounds=12,
+    )
+    with delivery_mode(mode):
+        ctx = _build_context(spec, 7)
+        return Simulator(n=ctx.n, algorithm=ctx.algorithm, adversary=ctx.adversary, seed=ctx.seed)
+
+
+def _observe(algorithm: str, alg) -> dict:
+    """Everything a reader can see of the instance between runs."""
+    seen = {
+        "outputs": alg.outputs(),
+        "awake": alg.awake_nodes,
+        "metrics": dict(alg.metrics()),
+        **{name: getattr(alg, name) for name in _STATE_DICTS[algorithm]},
+    }
+    if hasattr(alg, "palette_of"):
+        # the kernel records palettes at deliveries while uncolored only
+        seen["palettes"] = {
+            v: alg.palette_of(v) for v in sorted(alg.awake_nodes) if alg._color[v] is None
+        }
+    if hasattr(alg, "live_neighbors_of"):
+        seen["live"] = {v: alg.live_neighbors_of(v) for v in sorted(alg.awake_nodes)}
+    return seen
+
+
+class TestDeferredWriteback:
+    @pytest.mark.parametrize("engine", sorted(_ENGINE_ADVERSARIES))
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    def test_reads_between_runs_match_the_full_path(self, algorithm, engine):
+        full = _stepwise_sim(algorithm, engine, "full")
+        kern = _stepwise_sim(algorithm, engine, "kernel")
+        expected_engine = ArrayKernelEngine if engine == "array" else GenericKernelEngine
+        for r in range(1, 13):
+            full.run(1)
+            kern.run(1)
+            if r == 1:
+                assert type(kern._kernel_engine) is expected_engine
+            if r in (3, 6, 7, 12):
+                assert _observe(algorithm, kern.algorithm) == _observe(algorithm, full.algorithm), (
+                    f"{algorithm} on the {engine} engine diverged at round {r}"
+                )
+        # the per-node streams resume where the classic path left them
+        # (the MIS kernels through ``_node_rng_skips``)
+        nodes = sorted(full.algorithm.awake_nodes)
+        assert [kern.algorithm.rng(v).random() for v in nodes] == [
+            full.algorithm.rng(v).random() for v in nodes
+        ]
+
+    @pytest.mark.parametrize("engine", sorted(_ENGINE_ADVERSARIES))
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    def test_write_back_runs_only_when_read(self, algorithm, engine, monkeypatch):
+        kernel_cls = _KERNEL_CLASSES[algorithm]
+        calls = []
+        body = kernel_cls.finalize
+
+        def counted(self):
+            calls.append(1)
+            body(self)
+
+        monkeypatch.setattr(kernel_cls, "finalize", counted)
+        sim = _stepwise_sim(algorithm, engine, "kernel")
+        for _ in range(20):
+            sim.run(1)
+        assert type(sim._kernel_engine._kernel) is kernel_cls
+        assert calls == []
+        outputs = sim.algorithm.outputs()
+        assert len(calls) == 1
+        # later reads, and reads of names nobody defines, find nothing pending
+        assert sim.algorithm.outputs() == outputs and sim.algorithm.awake_nodes
+        with pytest.raises(AttributeError, match="no_such_attribute"):
+            sim.algorithm.no_such_attribute
+        assert len(calls) == 1
+        sim.run(1)
+        sim.algorithm.awake_nodes
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("algorithm", KERNEL_ALGORITHMS)
+    def test_declared_attributes_are_the_assigned_ones(self, algorithm):
+        sim = _stepwise_sim(algorithm, "array", "kernel")
+        sim.run(4)
+        kernel = sim._kernel_engine._kernel
+
+        class Recorder:
+            def __init__(self):
+                object.__setattr__(self, "assigned", set())
+
+            def __setattr__(self, name, value):
+                self.assigned.add(name)
+
+        recorder = Recorder()
+        kernel._algorithm = recorder
+        kernel.finalize()
+        declared = set(kernel.writeback_attrs)
+        if algorithm == "basic-coloring":
+            # ``_uncolor_events`` is written back only when SColor tracks it
+            declared.discard("_uncolor_events")
+        assert recorder.assigned == declared
