@@ -187,17 +187,6 @@ class TestDeltaStorage:
         assert latest == Topology(range(3), [(0, 1)])
         assert graph.topology(1) is latest
 
-    def test_attached_window_replays_delta_history(self):
-        evolution = _random_evolution(rounds=20, seed=3)
-        graph = DynamicGraph(32, checkpoint_interval=6)
-        for delta, _ in evolution[:15]:
-            graph.append_delta(delta)
-        window = graph.attach_window(4)
-        assert window.round_index == 15
-        for delta, _ in evolution[15:]:
-            snapshots = graph.append_delta(delta)
-            assert snapshots[4].intersection == graph.intersection_graph(graph.last_round, 4)
-            assert snapshots[4].union == graph.union_graph(graph.last_round, 4)
 
 
 # ---------------------------------------------------------------------------

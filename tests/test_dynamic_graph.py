@@ -77,21 +77,72 @@ class TestWindowQueries:
         assert (1, 2) in union.edges
         assert union.degree(1) == 2
 
-    def test_window_snapshot(self):
+    @pytest.mark.parametrize("query", ["intersection_graph", "union_graph"])
+    def test_rejects_window_size_below_one(self, query):
         graph = DynamicGraph(4)
         graph.append(topo([(0, 1)]))
-        snap = graph.window_snapshot(1, 1)
-        assert snap.intersection.edges == frozenset({(0, 1)})
-        assert snap.round_index == 1
+        for T in (0, -1):
+            with pytest.raises(TopologyError, match="window size"):
+                getattr(graph, query)(1, T)
 
-    def test_attached_window_matches_direct(self):
-        graph = DynamicGraph(4)
-        graph.append(topo([(0, 1), (1, 2)]))
-        window = graph.attach_window(2)
-        graph.append(topo([(1, 2), (2, 3)]))
-        assert window.intersection_edges() == frozenset({(1, 2)})
-        # Direct query with T = 2 at round 2 does not reach round 0, so both agree.
-        assert graph.intersection_graph(2, 2).edges == frozenset({(1, 2)})
+
+def _growing_history(rng, *, n=8, rounds=16):
+    """Random rounds with edge churn and node wake-ups (the awake set never shrinks)."""
+    awake: set = set()
+    history = []
+    for _ in range(rounds):
+        awake |= {v for v in range(n) if rng.random() < 0.3}
+        nodes = sorted(awake)
+        candidates = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
+        mask = rng.random(len(candidates)) < 0.35
+        history.append(Topology(nodes, [e for e, keep in zip(candidates, mask) if keep]))
+    return history
+
+
+def _brute_force_windows(history, r, T):
+    """``(G^{T∩}_r, G^{T∪}_r)`` recomputed from scratch, G_0 included in the window."""
+    if r < T:
+        return Topology([], []), Topology([], [])
+    window = history[r - T : r]
+    nodes = frozenset.intersection(*(t.nodes for t in window))
+    inter_edges = frozenset.intersection(*(t.edges for t in window))
+    union_edges = frozenset.union(*(t.edges for t in window))
+    endpoints = {v for edge in union_edges for v in edge}
+    return Topology(nodes, inter_edges), Topology(nodes | endpoints, union_edges)
+
+
+def _record(history, method, checkpoint_interval):
+    graph = DynamicGraph(8, checkpoint_interval=checkpoint_interval)
+    previous = Topology([], [])
+    for topology in history:
+        item = topology if method == "append" else previous.delta_to(topology)
+        assert getattr(graph, method)(item) is None
+        previous = topology
+    return graph
+
+
+_STORAGES = [
+    pytest.param("append", 32, id="append"),
+    *(pytest.param("append_delta", k, id=f"delta-{k}") for k in (1, 3, 8, 64)),
+    pytest.param("append_lazy", 32, id="lazy"),
+]
+
+
+class TestWindowGraphsAgainstBruteForce:
+    """The window queries agree with a from-scratch recomputation on every storage path."""
+
+    @pytest.mark.parametrize("method, checkpoint_interval", _STORAGES)
+    @pytest.mark.parametrize("T", [1, 2, 3, 5])
+    def test_matches_brute_force(self, rng_factory, T, method, checkpoint_interval):
+        history = _growing_history(rng_factory.stream("window-brute", T))
+        graph = _record(history, method, checkpoint_interval)
+        rounds = range(1, len(history) + 1)
+        # Forward order follows the cursor; the reverse pass walks back to checkpoints.
+        for r in (*rounds, *reversed(rounds)):
+            inter = graph.intersection_graph(r, T)
+            union = graph.union_graph(r, T)
+            assert (inter, union) == _brute_force_windows(history, r, T)
+            assert inter.edges <= union.edges
 
 
 class TestStabilityPredicates:

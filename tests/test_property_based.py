@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.types import canonical_edge
 from repro.dynamics.topology import Topology
-from repro.dynamics.window import SlidingWindow
+from repro.dynamics.dynamic_graph import DynamicGraph
 from repro.problems.coloring import coloring_problem_pair, is_proper_coloring
 from repro.problems.mis import mis_assignment_from_set, mis_problem_pair
 from repro.runtime.messages import estimate_bits
@@ -65,30 +65,42 @@ def test_subgraph_of_all_nodes_is_identity(topo):
     assert topo.subgraph(topo.nodes) == topo
 
 
+def _record(sequence):
+    graph = DynamicGraph(8)
+    for topo in sequence:
+        graph.append(topo)
+    return graph
+
+
 @settings(max_examples=30)
 @given(topology_sequences(), st.integers(1, 6))
-def test_sliding_window_matches_bruteforce(sequence, T):
-    window = SlidingWindow(T)
-    for r, topo in enumerate(sequence, start=1):
-        snap = window.push(topo)
-        lo = max(0, r - T)
+def test_window_graphs_match_bruteforce(sequence, T):
+    graph = _record(sequence)
+    for r in range(1, len(sequence) + 1):
+        inter = graph.intersection_graph(r, T)
+        union = graph.union_graph(r, T)
+        if r < T:
+            # The window reaches the empty G_0 (Definition 2.1).
+            assert inter.num_nodes == union.num_nodes == 0
+            continue
         expected_union = set()
-        expected_inter = set(sequence[lo].edges)
-        for t in sequence[lo:r]:
+        expected_inter = set(sequence[r - T].edges)
+        for t in sequence[r - T : r]:
             expected_union |= t.edges
             expected_inter &= t.edges
-        assert snap.union.edges == frozenset(expected_union)
-        assert snap.intersection.edges == frozenset(expected_inter)
+        assert union.edges == frozenset(expected_union)
+        assert inter.edges == frozenset(expected_inter)
 
 
 @settings(max_examples=30)
 @given(topology_sequences(length=5))
 def test_intersection_subset_of_union(sequence):
-    window = SlidingWindow(3)
-    for topo in sequence:
-        snap = window.push(topo)
-        assert snap.intersection.edges <= snap.union.edges
-        assert snap.intersection.nodes == snap.union.nodes
+    graph = _record(sequence)
+    for r in range(1, len(sequence) + 1):
+        inter = graph.intersection_graph(r, 3)
+        union = graph.union_graph(r, 3)
+        assert inter.edges <= union.edges
+        assert inter.nodes == union.nodes
 
 
 # ---------------------------------------------------------------------------
