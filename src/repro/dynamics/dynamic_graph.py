@@ -14,19 +14,24 @@ previous round (:meth:`DynamicGraph.append_delta`).  Delta storage keeps the
 per-round memory and validation cost proportional to the amount of change; a
 full snapshot is additionally materialised every ``checkpoint_interval``
 rounds so that any round can be reconstructed by replaying at most
-``checkpoint_interval - 1`` deltas.  All accessors (``topology(r)``, window
-queries, change statistics) materialise transparently, and a one-entry cursor
-cache makes sequential scans — by far the dominant access pattern of the
-checkers — cost one delta application per step.
+``checkpoint_interval - 1`` deltas.  All accessors (``topology(r)``, change
+statistics) materialise transparently, and a one-entry cursor cache makes
+sequential scans cost one delta application per step.
 
 On top of the raw sequence it offers the sliding-window queries of
-Definition 2.1 (``G^{T∩}_r``, ``G^{T∪}_r``), recomputed from the stored
-history for any round ``r`` and window size ``T``.
+Definition 2.1 (``G^{T∩}_r``, ``G^{T∪}_r``) for any round ``r`` and window
+size ``T``.  A query materialises only the window's first round ``G_{r0}``
+(through the cursor) and folds rounds ``r0+1 … r`` from their edge changes;
+because awake sets never shrink, the window graphs follow from ``G_{r0}``
+and the edges removed / added in the window, and no adjacency is built for
+the folded rounds.  The checker's sequential scan therefore moves the cursor
+one round per checked round.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Union
+from itertools import chain
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 from repro.errors import TopologyError
 from repro.types import Edge, Interval, NodeId
@@ -149,7 +154,9 @@ class DynamicGraph:
         no Topology object is built and no checkpoint snapshots are stored —
         the round graph is only materialised when someone asks for it
         (``topology(r)`` walks the delta chain; sequential scans are O(1)
-        per round thanks to the cursor, cold random access is O(r)).
+        per round thanks to the cursor, cold random access is O(r)).  A
+        window query materialises only its first round and folds the rest
+        from the stored deltas, checking each for exactness on the way.
         """
         self._check_delta(delta)
         self._entries.append(delta)
@@ -220,21 +227,51 @@ class DynamicGraph:
 
     # -- window queries (Definition 2.1) --------------------------------------
 
-    def _window_rounds(self, r: int, T: int) -> tuple[bool, Sequence[Topology]]:
-        """Return ``(includes_round_zero, topologies of rounds max(1, r-T+1) … r)``.
+    def _window(self, r: int, T: int) -> Optional[tuple[Topology, Set[Edge], Set[Edge]]]:
+        """Fold the window of rounds ``r0 … r`` from its edge changes.
 
         Definition 2.1 sets ``r0 = max(0, r - T + 1)`` and ``G_0`` is the empty
         graph (all nodes asleep, ``V_0 = ∅``).  Whenever the window reaches
-        back to round 0 the intersection node set is therefore empty.
+        back to round 0 both window graphs are empty and this returns ``None``.
+
+        Otherwise only ``G_{r0}`` is materialised (through the cursor, so a
+        sequential check moves it one round per query); rounds ``r0+1 … r``
+        are folded as edge-set changes, without building any adjacency.  A
+        delta entry contributes its added/removed edges after
+        :meth:`TopologyDelta.check_exact` has checked it against the running
+        graph, as :meth:`Topology.apply` would; a snapshot entry contributes
+        its set diff against the running edge set.  Returns ``(G_{r0}, removed,
+        added)`` with every edge removed / added in the window.  Awake sets never
+        shrink, so ``V^{T∩}_r = V_{r0}``, ``E^{T∩}_r = E_{r0} − removed`` and
+        ``E^{T∪}_r = E_{r0} ∪ added``.
         """
         if T < 1:
             raise TopologyError(f"window size T must be >= 1, got {T!r}")
         if not 1 <= r <= len(self._entries):
             raise TopologyError(f"round {r} has not been recorded (last = {self.last_round})")
-        r0 = max(0, r - T + 1)
-        includes_zero = r0 == 0
-        first = max(1, r0)
-        return includes_zero, [self._materialise(i) for i in range(first, r + 1)]
+        r0 = r - T + 1
+        if r0 < 1:
+            return None
+        base = self._materialise(r0)
+        nodes = set(base.nodes)
+        edges = set(base.edges)
+        removed: Set[Edge] = set()
+        added: Set[Edge] = set()
+        for entry in self._entries[r0:r]:
+            if isinstance(entry, Topology):
+                step_removed = edges - entry.edges
+                step_added = entry.edges - edges
+                nodes |= entry.nodes
+            else:
+                entry.check_exact(nodes, edges)
+                step_removed = entry.removed_edges
+                step_added = entry.added_edges
+                nodes |= entry.added_nodes
+            edges -= step_removed
+            edges |= step_added
+            removed |= step_removed
+            added |= step_added
+        return base, removed, added
 
     def intersection_graph(self, r: int, T: int) -> Topology:
         """``G^{T∩}_r``: nodes and edges present in every round of the window.
@@ -243,16 +280,11 @@ class DynamicGraph:
         that is ``<= 0`` the (empty) graph ``G_0`` is part of the window and
         the intersection is empty — no node has been awake for ``T`` rounds yet.
         """
-        includes_zero, rounds = self._window_rounds(r, T)
-        if includes_zero:
+        window = self._window(r, T)
+        if window is None:
             return empty_topology()
-        nodes: FrozenSet[NodeId] = rounds[0].nodes
-        edges: FrozenSet[Edge] = rounds[0].edges
-        for topo in rounds[1:]:
-            nodes &= topo.nodes
-            edges &= topo.edges
-        edges = frozenset(e for e in edges if e[0] in nodes and e[1] in nodes)
-        return Topology(nodes, edges)
+        base, removed, _ = window
+        return Topology(base.nodes, base.edges - removed)
 
     def union_graph(self, r: int, T: int) -> Topology:
         """``G^{T∪}_r``: every edge present at least once in the window.
@@ -266,20 +298,11 @@ class DynamicGraph:
         a union edge; only the nodes of :meth:`intersection_graph` are
         *constrained* by the T-dynamic checker.
         """
-        includes_zero, rounds = self._window_rounds(r, T)
-        if includes_zero:
+        window = self._window(r, T)
+        if window is None:
             return empty_topology()
-        nodes: FrozenSet[NodeId] = rounds[0].nodes
-        for topo in rounds[1:]:
-            nodes &= topo.nodes
-        edges: set[Edge] = set()
-        for topo in rounds:
-            edges.update(topo.edges)
-        node_set = set(nodes)
-        for u, v in edges:
-            node_set.add(u)
-            node_set.add(v)
-        return Topology(node_set, edges)
+        base, _, added = window
+        return Topology(base.nodes.union(chain.from_iterable(added)), base.edges | added)
 
     # -- stability predicates ---------------------------------------------
 
@@ -322,8 +345,9 @@ class DynamicGraph:
         if 1 <= r <= len(self._entries):
             entry = self._entries[r - 1]
             if isinstance(entry, TopologyDelta):
-                # Stored deltas are exact (enforced by Topology.apply), so this
-                # equals the diff of the materialised snapshots.
+                # Stored deltas are exact (TopologyDelta.check_exact runs
+                # whenever a round is materialised or folded into a window),
+                # so this equals the diff of the materialised snapshots.
                 return entry.added_edges, entry.removed_edges
         prev = self.topology(r - 1) if r > 1 else empty_topology()
         cur = self.topology(r)

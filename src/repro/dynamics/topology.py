@@ -20,8 +20,9 @@ are provided for analysis code that wants the richer networkx API.
 
 from __future__ import annotations
 
+from itertools import chain
 from types import MappingProxyType
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, Mapping, Set, Tuple, Union
 
 import networkx as nx
 
@@ -67,7 +68,9 @@ class TopologyDelta:
     """The change set between two consecutive topologies.
 
     A delta is *exact*: added items must be absent from the predecessor and
-    removed items must be present (checked by :meth:`Topology.apply`), so a
+    removed items must be present (checked by :meth:`check_exact`, which
+    :meth:`Topology.apply` and the window fold of
+    :class:`~repro.dynamics.dynamic_graph.DynamicGraph` both call), so a
     stored delta is always byte-identical to the from-scratch diff of the two
     snapshots it connects.
 
@@ -132,6 +135,58 @@ class TopologyDelta:
             touched.add(u)
             touched.add(v)
         return frozenset(touched)
+
+    def check_exact(
+        self, nodes: Union[Set[NodeId], FrozenSet[NodeId]], edges: AbstractSet[Edge]
+    ) -> None:
+        """Check that this delta is exact relative to the graph ``(nodes, edges)``.
+
+        Added nodes must not be awake yet and removed nodes must be awake;
+        removed edges must be present, added edges absent, and both endpoints
+        of every added edge awake after the delta.  The cost is O(#changes);
+        no adjacency is read.  :meth:`Topology.apply` additionally checks
+        that a removed node is isolated afterwards, which needs adjacency.
+
+        Raises
+        ------
+        TopologyError
+            On the first violated condition, in the order listed above.
+        """
+        added_nodes = self.added_nodes
+        removed_nodes = self.removed_nodes
+        added_edges = self.added_edges
+        removed_edges = self.removed_edges
+        if not added_nodes.isdisjoint(nodes):
+            raise TopologyError(
+                f"delta adds nodes that are already awake: {sorted(added_nodes & nodes)[:10]}"
+            )
+        if not removed_nodes.issubset(nodes):
+            raise TopologyError(
+                f"delta removes nodes that are not awake: {sorted(removed_nodes - nodes)[:10]}"
+            )
+        if not removed_edges.issubset(edges):
+            raise TopologyError(
+                f"delta removes edges that are not present: {sorted(removed_edges - edges)[:10]}"
+            )
+        if not added_edges.isdisjoint(edges):
+            raise TopologyError(
+                f"delta adds edges that are already present: {sorted(added_edges & edges)[:10]}"
+            )
+        if added_edges and not (
+            nodes.issuperset(chain.from_iterable(added_edges))
+            and removed_nodes.isdisjoint(chain.from_iterable(added_edges))
+        ):
+            # Slow path: an endpoint woke up in this delta, or the check fails.
+            for u, v in added_edges:
+                if not (
+                    (u in nodes or u in added_nodes)
+                    and (v in nodes or v in added_nodes)
+                    and u not in removed_nodes
+                    and v not in removed_nodes
+                ):
+                    raise TopologyError(
+                        f"delta edge {(u, v)} references a node outside the awake node set"
+                    )
 
     @classmethod
     def between(cls, before: "Topology", after: "Topology") -> "TopologyDelta":
@@ -440,22 +495,7 @@ class Topology:
         added_edges = delta.added_edges
         removed_edges = delta.removed_edges
 
-        if added_nodes and (added_nodes & nodes):
-            raise TopologyError(
-                f"delta adds nodes that are already awake: {sorted(added_nodes & nodes)[:10]}"
-            )
-        if removed_nodes and (removed_nodes - nodes):
-            raise TopologyError(
-                f"delta removes nodes that are not awake: {sorted(removed_nodes - nodes)[:10]}"
-            )
-        if removed_edges and (removed_edges - edges):
-            raise TopologyError(
-                f"delta removes edges that are not present: {sorted(removed_edges - edges)[:10]}"
-            )
-        if added_edges and (added_edges & edges):
-            raise TopologyError(
-                f"delta adds edges that are already present: {sorted(added_edges & edges)[:10]}"
-            )
+        delta.check_exact(nodes, edges)
 
         new_nodes = nodes
         if added_nodes:
@@ -484,10 +524,6 @@ class Topology:
         for v in added_nodes:
             touched.setdefault(v, set())
         for u, v in added_edges:
-            if u not in new_nodes or v not in new_nodes:
-                raise TopologyError(
-                    f"delta edge {(u, v)} references a node outside the awake node set"
-                )
             neighbours_of(u).add(v)
             neighbours_of(v).add(u)
         for v in removed_nodes:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import TopologyError
 from repro.types import Interval
 from repro.dynamics.dynamic_graph import DynamicGraph
-from repro.dynamics.topology import Topology
+from repro.dynamics.topology import Topology, TopologyDelta
 
 
 def topo(edges, nodes=range(4)):
@@ -143,6 +143,56 @@ class TestWindowGraphsAgainstBruteForce:
             union = graph.union_graph(r, T)
             assert (inter, union) == _brute_force_windows(history, r, T)
             assert inter.edges <= union.edges
+
+
+_FIRST_ROUND = Topology([0, 1, 2], [(0, 1)])
+
+
+class TestWindowFold:
+    """Rounds after the window's first one are folded from deltas, not materialised."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(TopologyDelta(removed_edges=[(1, 2)]), id="removes-absent-edge"),
+            pytest.param(TopologyDelta(added_edges=[(0, 1)]), id="adds-present-edge"),
+            pytest.param(TopologyDelta(added_edges=[(2, 3)]), id="adds-edge-to-sleeping-node"),
+        ],
+    )
+    @pytest.mark.parametrize("query", ["intersection_graph", "union_graph"])
+    def test_inexact_delta_inside_window_is_rejected(self, query, bad):
+        with pytest.raises(TopologyError) as applied:
+            _FIRST_ROUND.apply(bad)
+        graph = DynamicGraph(4)
+        graph.append_lazy(Topology([], []).delta_to(_FIRST_ROUND))
+        graph.append_lazy(TopologyDelta())
+        # append_lazy does not materialise, so the inexact delta is only seen
+        # when a window folds round 3, strictly after its first round r0 = 2.
+        graph.append_lazy(bad)
+        with pytest.raises(TopologyError) as folded:
+            getattr(graph, query)(3, 2)
+        assert str(folded.value) == str(applied.value)
+
+    def test_sequential_check_applies_one_delta_per_round(self, rng_factory, monkeypatch):
+        history = _growing_history(rng_factory.stream("window-fold"), rounds=100)
+        graph = _record(history, "append_lazy", 32)
+        calls = []
+        apply = Topology.apply
+
+        def counting_apply(self, delta):
+            calls.append(delta)
+            return apply(self, delta)
+
+        monkeypatch.setattr(Topology, "apply", counting_apply)
+        per_round = []
+        for r in range(90, 101):
+            before = len(calls)
+            graph.intersection_graph(r, 5)
+            graph.union_graph(r, 5)
+            per_round.append(len(calls) - before)
+        # The first query replays the lazy chain up to r0 = 86 once; after
+        # that each checked round moves the cursor by one round.
+        assert per_round == [86] + [1] * 10
 
 
 class TestStabilityPredicates:
